@@ -34,14 +34,17 @@
 // durable), -stripes its stripe count, -instrument wraps it with the
 // per-op metrics recorder (see GET /metrics), and -no-fold-cache disables
 // the read-path fold cache. -replicas N partitions keys by hash slot
-// across N in-process aggregator replicas; -fanin URL,URL,… instead makes
-// this process a pure HTTP router over aggregator replicas running
-// elsewhere. With either form, -replication R keeps R copies of every
-// hash slot: pushes fan out to all R owners, reads prefer the primary and
-// fail over to secondaries. Under -fanin, a push succeeds once -quorum
-// owners of each slot ack (default: a majority of R), and the router
-// resyncs a replica that lost state from its slot co-owners; POST
-// /slots/move re-homes one hash slot live (GET /slots shows the table):
+// across N aggregator replicas in this process, each behind its own
+// aggsrv server, with the aggsrv fan-in router in front calling them
+// in-process; -fanin URL,URL,… instead makes this process a pure HTTP
+// router over aggregator replicas running elsewhere. With either form,
+// -replication R keeps R copies of every hash slot: pushes fan out to all
+// R owners, reads prefer the primary and fail over to secondaries, the
+// router resyncs a replica that lost state from its slot co-owners, and
+// POST /slots/move re-homes one hash slot live (GET /slots shows the
+// table). Under -fanin, a push succeeds once -quorum owners of each slot
+// ack (default: a majority of R). /healthz and /metrics then take the
+// fan-in's shapes (per-replica detail; the key count is a floor at R > 1):
 //
 //	qlove-agg -serve -store striped -instrument -replicas 4
 //	qlove-agg -serve -fanin http://10.0.0.1:7171,http://10.0.0.2:7171 -replication 2
@@ -51,22 +54,33 @@
 // directory recovers the full state — per-worker cursors included, so
 // workers resume delta pushes without re-bootstrapping, and a kill -9'd
 // service answers /snapshot bit-identically to one that never died.
-// -fsync picks the sync discipline (always | interval | none).
+// -fsync picks the sync discipline (always | interval | none). With
+// -replicas N each replica logs under DIR/replica-<i>.
 //
 //	qlove-agg -serve -store disk -dir /var/lib/qlove-agg
+//
+// SIGTERM or SIGINT shuts the service down cleanly: it stops accepting
+// connections, drains in-flight requests, then closes the stores, which
+// flushes and syncs every acknowledged log record, and exits 0.
 package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"repro"
@@ -139,7 +153,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("-fanin-timeout only applies with -fanin")
 		}
 		if *quorum != 0 {
-			return fmt.Errorf("-quorum only applies with -fanin (the in-process partition has no partial failures)")
+			return fmt.Errorf("-quorum only applies with -fanin (in-process replicas fail together)")
 		}
 		if *replication > 1 && *replicas == 1 {
 			return fmt.Errorf("-replication %d needs -replicas > 1 or -fanin (one replica cannot hold extra copies)", *replication)
@@ -167,66 +181,104 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return report(stdout, agg, *jsonOut, *top, *phi)
 }
 
-// aggBackend is the serve-mode state plane: a single Aggregator or an
-// in-process Partitioned, both of which GC and serve identically.
-type aggBackend interface {
-	aggsrv.Backend
-	SetPushDeadline(time.Duration, func() time.Time)
-	SetPushDeadlineFromStored(time.Duration, func() time.Time)
-	Sweep() int
-}
-
-// serveHTTP runs the aggregation service until the process is killed.
-// With a worker deadline, departed workers are GC'd: reads exclude them
-// the moment the deadline passes, and a background ticker sweeps their
-// resident state (pushes sweep too, so the ticker only covers the
-// all-workers-gone case).
+// serveHTTP runs the aggregation service until SIGTERM or SIGINT. One
+// replica is served directly; -replicas N puts a Fanin in front of N
+// aggregators, reaching each one's server in-process through a
+// localTransport. With a worker deadline, departed workers are GC'd:
+// reads exclude them the moment the deadline passes, and a background
+// ticker sweeps their resident state (pushes sweep too, so the ticker only
+// covers the all-workers-gone case).
 func serveHTTP(addr string, deadline time.Duration, cfg qlove.AggregatorConfig, replicas, replication int) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	var agg aggBackend
-	if replicas > 1 {
-		if agg, err = qlove.NewPartitionedConfig(qlove.PartitionedConfig{
-			Replicas: replicas, Replication: replication, Agg: cfg,
-		}); err != nil {
-			return err
+	var aggs []*qlove.Aggregator
+	closeAggs := func() error {
+		var first error
+		for _, a := range aggs {
+			if err := a.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-	} else {
-		if agg, err = qlove.NewAggregatorConfig(cfg); err != nil {
-			return err
-		}
+		return first
 	}
-	if deadline > 0 {
-		if cfg.Store == "disk" {
-			// Recovered last-push stamps stay authoritative: a worker that
-			// had gone silent before the crash is still the one retired,
-			// rather than every worker getting a fresh deadline because the
-			// service bounced.
-			agg.SetPushDeadlineFromStored(deadline, nil)
-		} else {
-			agg.SetPushDeadline(deadline, nil)
+	for i := 0; i < replicas; i++ {
+		rcfg := cfg
+		if replicas > 1 && cfg.Dir != "" {
+			rcfg.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("replica-%d", i))
 		}
+		a, err := qlove.NewAggregatorConfig(rcfg)
+		if err != nil {
+			closeAggs()
+			return err
+		}
+		aggs = append(aggs, a)
+	}
+	handler := aggsrv.New(aggs[0]).Handler()
+	var fan *aggsrv.Fanin
+	if replicas > 1 {
+		local := localTransport{}
+		urls := make([]string, replicas)
+		for i, a := range aggs {
+			host := fmt.Sprintf("replica-%d", i)
+			local[host] = aggsrv.New(a).Handler()
+			urls[i] = "http://" + host
+		}
+		if fan, err = aggsrv.NewFaninConfig(aggsrv.FaninConfig{
+			Replicas: urls, Replication: replication, Client: &http.Client{Transport: local},
+		}); err != nil {
+			closeAggs()
+			return err
+		}
+		handler = fan.Handler()
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	var sweeper sync.WaitGroup
+	if deadline > 0 {
+		for _, a := range aggs {
+			if cfg.Store == "disk" {
+				// Recovered last-push stamps stay authoritative: a worker
+				// that had gone silent before the crash is still the one
+				// retired, rather than every worker getting a fresh
+				// deadline because the service bounced.
+				a.SetPushDeadlineFromStored(deadline, nil)
+			} else {
+				a.SetPushDeadline(deadline, nil)
+			}
+		}
+		sweeper.Add(1)
 		go func() {
-			for range time.Tick(deadline / 2) {
-				agg.Sweep()
+			defer sweeper.Done()
+			t := time.NewTicker(deadline / 2)
+			defer t.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-t.C:
+					for _, a := range aggs {
+						a.Sweep()
+					}
+				}
 			}
 		}()
 	}
 	fmt.Fprintf(os.Stderr, "qlove-agg: serving on http://%s (POST /push?worker=ID, GET /query /snapshot /healthz /metrics)\n", ln.Addr())
-	srv := &http.Server{
-		Handler: aggsrv.New(agg).Handler(),
-		// Header reads are bounded so a half-open connection cannot pin a
-		// handler goroutine forever; push bodies stay unbounded in time
-		// (a worker on a slow link may legitimately stream for a while —
-		// the handler drains them without holding the fold lock).
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	return srv.Serve(ln)
+	return serveUntil(ctx, ln, handler, func() error {
+		stop()
+		sweeper.Wait()
+		if fan != nil {
+			fan.Close()
+		}
+		return closeAggs()
+	})
 }
 
-// serveFanin runs the stateless HTTP router over remote replica servers.
+// serveFanin runs the stateless HTTP router over remote replica servers
+// until SIGTERM or SIGINT.
 func serveFanin(addr string, urls []string, timeout time.Duration, replication, quorum int) error {
 	f, err := aggsrv.NewFaninConfig(aggsrv.FaninConfig{
 		Replicas: urls, Timeout: timeout, Replication: replication, Quorum: quorum,
@@ -236,11 +288,70 @@ func serveFanin(addr string, urls []string, timeout time.Duration, replication, 
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		f.Close()
 		return err
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 	fmt.Fprintf(os.Stderr, "qlove-agg: fan-in on http://%s over %d replicas\n", ln.Addr(), len(urls))
-	srv := &http.Server{Handler: f.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	return srv.Serve(ln)
+	return serveUntil(ctx, ln, f.Handler(), f.Close)
+}
+
+// shutdownTimeout bounds how long a signalled service waits for in-flight
+// requests (a push body still uploading) before closing anyway.
+const shutdownTimeout = 30 * time.Second
+
+// serveUntil serves h on ln until ctx ends, then stops accepting
+// connections, waits for in-flight requests to finish and calls release —
+// so every push the service acknowledged has reached the stores before
+// they close. release also runs if serving fails.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler, release func() error) error {
+	srv := &http.Server{
+		Handler: h,
+		// Header reads are bounded so a half-open connection cannot pin a
+		// handler goroutine forever; push bodies stay unbounded in time
+		// (a worker on a slow link may legitimately stream for a while —
+		// the handler drains them without holding the fold lock).
+		ReadHeaderTimeout: 10 * time.Second,
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		err = srv.Shutdown(sctx)
+		cancel()
+	}
+	if rerr := release(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// localTransport is an http.RoundTripper that serves each request
+// in-process with the handler registered for the request's host: the
+// fan-in's client for replicas that live in the same process.
+type localTransport map[string]http.Handler
+
+func (t localTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		defer r.Body.Close()
+	}
+	h, ok := t[r.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("no in-process replica %q", r.URL.Host)
+	}
+	// A shallow copy: the mux records its match on the request it serves,
+	// and a RoundTripper must not modify the caller's.
+	req := r.WithContext(r.Context())
+	if req.Body == nil {
+		req.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Result(), nil
 }
 
 // aggregate folds every input blob into one keyed capture.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -277,6 +278,24 @@ func (p *aggProc) kill() {
 	p.cmd.Wait()
 }
 
+// terminate delivers SIGTERM — a clean shutdown — and reaps the child,
+// returning its exit error (nil for exit status 0).
+func (p *aggProc) terminate() error {
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- p.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		return err
+	case <-time.After(20 * time.Second):
+		p.cmd.Process.Kill()
+		<-exited
+		return fmt.Errorf("no exit within 20s of SIGTERM")
+	}
+}
+
 func httpPush(t *testing.T, addr, worker string, blob []byte) {
 	t.Helper()
 	resp, err := http.Post("http://"+addr+"/push?worker="+worker, "application/octet-stream", bytes.NewReader(blob))
@@ -304,20 +323,12 @@ func httpSnapshot(t *testing.T, addr string) []byte {
 	return body
 }
 
-// TestServeCrashRestartRecovery is the real-process crash test: a
-// disk-backed qlove-agg is SIGKILLed mid delta chain, restarted on the
-// same directory, and must (a) immediately serve a /snapshot bit-identical
-// to an uninterrupted reference at the same point, and (b) accept the
-// REST of each worker's delta chain — cursors recovered, no re-bootstrap —
-// ending bit-identical to the reference that never died.
-func TestServeCrashRestartRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
+// deltaChains runs one salted engine per worker over three keys and
+// returns each worker's delta export chain, rounds blobs long (the first
+// bootstraps).
+func deltaChains(t *testing.T, workers, rounds int) [][][]byte {
+	t.Helper()
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
-
-	// Two workers, four delta blobs each (the first bootstraps).
-	const workers, rounds = 2, 4
 	blobs := make([][][]byte, workers)
 	for w := 0; w < workers; w++ {
 		eng, err := qlove.NewEngine(qlove.EngineConfig{Config: cfg, Shards: 2, RouteSalt: 2})
@@ -344,7 +355,24 @@ func TestServeCrashRestartRecovery(t *testing.T) {
 		}
 		eng.Close()
 	}
-	worker := func(w int) string { return fmt.Sprintf("w%d", w) }
+	return blobs
+}
+
+func worker(w int) string { return fmt.Sprintf("w%d", w) }
+
+// TestServeCrashRestartRecovery is the real-process crash test: a
+// disk-backed qlove-agg is SIGKILLed mid delta chain, restarted on the
+// same directory, and must (a) immediately serve a /snapshot bit-identical
+// to an uninterrupted reference at the same point, and (b) accept the
+// REST of each worker's delta chain — cursors recovered, no re-bootstrap —
+// ending bit-identical to the reference that never died.
+func TestServeCrashRestartRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	// Two workers, four delta blobs each (the first bootstraps).
+	const workers = 2
+	blobs := deltaChains(t, workers, 4)
 
 	dir := t.TempDir()
 	victim := startAgg(t, "-store", "disk", "-dir", dir)
@@ -382,5 +410,58 @@ func TestServeCrashRestartRecovery(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-resume /snapshot diverges from uninterrupted reference (%d vs %d bytes)",
 			len(got), len(want))
+	}
+}
+
+// TestServeGracefulShutdown is the clean-shutdown test: SIGTERM makes a
+// disk-backed qlove-agg stop accepting, drain, close its stores and exit
+// 0. With -fsync none the acknowledged log records sit in a write buffer,
+// not on disk, so only that close keeps them: the service restarted on the
+// same directory must answer /snapshot byte-identically to an
+// uninterrupted reference. It runs for one aggregator and for two
+// in-process replicas behind the fan-in, each holding every slot.
+func TestServeGracefulShutdown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	const workers = 2
+	blobs := deltaChains(t, workers, 3)
+	ref := startAgg(t) // uninterrupted in-memory reference
+	defer ref.kill()
+	for w := 0; w < workers; w++ {
+		for _, blob := range blobs[w] {
+			httpPush(t, ref.addr, worker(w), blob)
+		}
+	}
+	want := httpSnapshot(t, ref.addr)
+
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{"single", nil},
+		{"replicas-2-replication-2", []string{"-replicas", "2", "-replication", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flags := append([]string{"-store", "disk", "-dir", t.TempDir(), "-fsync", "none"}, tc.flags...)
+			victim := startAgg(t, flags...)
+			defer victim.kill()
+			for w := 0; w < workers; w++ {
+				for _, blob := range blobs[w] {
+					httpPush(t, victim.addr, worker(w), blob)
+				}
+			}
+			if got := httpSnapshot(t, victim.addr); !bytes.Equal(got, want) {
+				t.Fatalf("live /snapshot diverges from the reference (%d vs %d bytes)", len(got), len(want))
+			}
+			if err := victim.terminate(); err != nil {
+				t.Fatalf("SIGTERM: %v, want exit status 0", err)
+			}
+			revived := startAgg(t, flags...)
+			defer revived.kill()
+			if got := httpSnapshot(t, revived.addr); !bytes.Equal(got, want) {
+				t.Fatalf("restarted /snapshot diverges from the reference (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }

@@ -185,7 +185,7 @@ func runEngineScenarioPushers(o multiKeyOptions, seq reportSeq, shards, pushers 
 		if err := seq.each(eng.Push); err != nil {
 			return engineRun{}, err
 		}
-	} else if err := pushPartitioned(eng, seq, pushers); err != nil {
+	} else if err := pushByKey(eng, seq, pushers); err != nil {
 		return engineRun{}, err
 	}
 	keysObserved := eng.Keys()
@@ -214,10 +214,10 @@ func runEngineScenarioPushers(o multiKeyOptions, seq reportSeq, shards, pushers 
 	return run, nil
 }
 
-// pushPartitioned replays the sequence through pushers goroutines, each
+// pushByKey replays the sequence through pushers goroutines, each
 // owning a fixed set of keys (assigned round-robin in first-appearance
 // order) and pushing its reports in sequence order.
-func pushPartitioned(eng *qlove.Engine, seq reportSeq, pushers int) error {
+func pushByKey(eng *qlove.Engine, seq reportSeq, pushers int) error {
 	parts := make([][]int, pushers)
 	owner := make(map[string]int, 1024)
 	for i, key := range seq.keys {

@@ -20,13 +20,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Fanin is the out-of-process horizontal tier: an HTTP router over N
-// remote aggregator replica servers hosting the qlove.Slots hash slots of
-// the key space under a qlove.SlotMap (the same slot hash the in-process
-// Partitioned uses, so any router instance partitions identically). Each
-// slot has Replication owners holding full copies of its state; the
-// default map at replication 1 routes exactly like the old PartitionOf
-// modulo, so a single-copy tier behaves unchanged.
+// Fanin is the horizontal tier: an HTTP router over N aggregator replica
+// servers hosting the qlove.Slots hash slots of the key space under a
+// qlove.SlotMap (a fixed, process-independent slot hash, so any router
+// instance partitions identically). Each slot has Replication owners
+// holding full copies of its state; under the default map a key's primary
+// is qlove.SlotOf(key) % N. The replicas may be remote servers or, through
+// a FaninConfig.Client whose transport calls handlers directly, servers in
+// the router's own process.
 //
 // It serves the same endpoints as Server:
 //
@@ -51,9 +52,10 @@ import (
 //     the covered keys plus a "degraded" field naming the losses, and
 //     502s only when NO replica answered.
 //   - /healthz probes every replica and reports per-replica status
-//     (ok/down, dirty, consecutive failures) plus per-slot coverage (how
-//     many slots have all / some / none of their owners live); the
-//     aggregate status is "degraded" while any replica is down or dirty.
+//     (ok/degraded/down, dirty, consecutive failures, the replica's own
+//     durability error) plus per-slot coverage (how many slots have all /
+//     some / none of their owners live); the aggregate status is
+//     "degraded" while any replica is down, dirty or itself degraded.
 //   - /metrics aggregates across replicas, tolerating outages per-replica.
 //   - /slots reports the live slot table (owners per slot, quorum).
 //   - /slots/move?slot=S&to=R (POST) migrates one slot live: the slot's
@@ -85,6 +87,7 @@ type Fanin struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
+	probed   chan struct{} // closed when probeLoop returns
 }
 
 // FaninConfig configures the router's replicas and resilience knobs.
@@ -104,8 +107,7 @@ type FaninConfig struct {
 	Quorum int
 	// Slots optionally seeds a non-canonical slot table (it is cloned;
 	// owner indices must be < len(Replicas)). Nil builds the canonical
-	// qlove.NewSlotMap(len(Replicas), Replication), whose primaries
-	// follow PartitionOf.
+	// qlove.NewSlotMap(len(Replicas), Replication).
 	Slots *qlove.SlotMap
 	// Client overrides the HTTP client. nil builds one with Timeout as
 	// both the connect and the full per-request deadline — never
@@ -162,13 +164,6 @@ const maxReplicaBody = maxPushBody
 // maxAckBody caps a push/drop acknowledgement body — a small JSON
 // document; anything near the cap is garbage.
 const maxAckBody = 1 << 20
-
-// NewFanin returns a router over the replica base URLs with default
-// resilience settings (replication 1). client nil means a default client
-// WITH timeouts (never http.DefaultClient).
-func NewFanin(urls []string, client *http.Client) (*Fanin, error) {
-	return NewFaninConfig(FaninConfig{Replicas: urls, Client: client})
-}
 
 // NewFaninConfig returns a router configured by cfg.
 func NewFaninConfig(cfg FaninConfig) (*Fanin, error) {
@@ -268,7 +263,10 @@ func NewFaninConfig(cfg FaninConfig) (*Fanin, error) {
 		}
 	}
 
-	f := &Fanin{cfg: cfg, reps: reps, client: client, mux: http.NewServeMux(), slots: slots, stop: make(chan struct{})}
+	f := &Fanin{
+		cfg: cfg, reps: reps, client: client, mux: http.NewServeMux(), slots: slots,
+		stop: make(chan struct{}), probed: make(chan struct{}),
+	}
 	f.mux.HandleFunc("/push", f.handlePush)
 	f.mux.HandleFunc("/query", f.handleQuery)
 	f.mux.HandleFunc("/snapshot", f.handleSnapshot)
@@ -299,10 +297,13 @@ func (f *Fanin) SlotTable() *qlove.SlotMap {
 	return f.slots.Clone()
 }
 
-// Close stops the background health prober. The router keeps serving
-// (ejected replicas just stop being reinstated automatically).
+// Close stops the background health prober and waits for a probe round
+// in flight (a resync replaying onto a replica) to finish, so the
+// replicas can be shut down after it. The router keeps serving (ejected
+// replicas just stop being reinstated automatically).
 func (f *Fanin) Close() error {
 	f.stopOnce.Do(func() { close(f.stop) })
+	<-f.probed
 	return nil
 }
 
@@ -329,6 +330,7 @@ func (f *Fanin) record(rep *faninReplica, ok bool) {
 // back), then each live dirty replica's owned slots are resynced from
 // clean live owners.
 func (f *Fanin) probeLoop() {
+	defer close(f.probed)
 	t := time.NewTicker(f.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
@@ -387,7 +389,7 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 		}
 	}
 	for src, slots := range bySource {
-		if err := f.replaySlots(src, rep, slots); err != nil {
+		if _, err := f.replaySlots(src, rep, slots); err != nil {
 			return // stay dirty; the next probe tick retries
 		}
 	}
@@ -400,8 +402,9 @@ func (f *Fanin) resync(i int, rep *faninReplica) {
 
 // replaySlots copies the given slots' state from replica src to replica
 // dst: export from src, drop dst's (possibly stale) resident state for
-// those slots, then replay the per-worker bootstrap blobs.
-func (f *Fanin) replaySlots(src, dst *faninReplica, slots []int) error {
+// those slots, then replay the per-worker bootstrap blobs. It returns how
+// many worker blobs it replayed.
+func (f *Fanin) replaySlots(src, dst *faninReplica, slots []int) (int, error) {
 	parts := make([]string, len(slots))
 	for i, s := range slots {
 		parts[i] = strconv.Itoa(s)
@@ -409,30 +412,30 @@ func (f *Fanin) replaySlots(src, dst *faninReplica, slots []int) error {
 	q := "?slots=" + strings.Join(parts, ",")
 	status, body, err := f.fetch(src.url, "/slots/export"+q)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("export status %d", status)
+		return 0, fmt.Errorf("export status %d", status)
 	}
 	var exp SlotExport
 	if err := json.Unmarshal(body, &exp); err != nil {
-		return fmt.Errorf("bad export: %w", err)
+		return 0, fmt.Errorf("bad export: %w", err)
 	}
 	// Drop before replay: a sub-stream bootstrap frame replaces only its
 	// own sub-stream, so stale siblings at dst must go first.
 	if status, _, err := f.post(dst.url, "/slots/drop"+q, nil); err != nil || status != http.StatusOK {
-		return fmt.Errorf("drop status %d: %v", status, err)
+		return 0, fmt.Errorf("drop status %d: %v", status, err)
 	}
-	for _, wb := range exp.Workers {
+	for i, wb := range exp.Workers {
 		status, rb, err := f.post(dst.url, "/push?worker="+url.QueryEscape(wb.Worker), wb.Blob)
 		if err != nil {
-			return err
+			return i, err
 		}
 		if status != http.StatusOK {
-			return fmt.Errorf("replay worker %q status %d: %s", wb.Worker, status, bytes.TrimSpace(rb))
+			return i, fmt.Errorf("replay worker %q status %d: %s", wb.Worker, status, bytes.TrimSpace(rb))
 		}
 	}
-	return nil
+	return len(exp.Workers), nil
 }
 
 // fetch GETs one replica path, returning status and a bounded body; a
@@ -1009,16 +1012,10 @@ func (f *Fanin) handleSlotMove(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "no clean live owner of slot %d to export from", slot)
 		return
 	}
-	if err := f.replaySlots(src, f.reps[to], []int{slot}); err != nil {
+	workers, err := f.replaySlots(src, f.reps[to], []int{slot})
+	if err != nil {
 		writeErr(w, http.StatusBadGateway, "replay slot %d onto %s: %v", slot, f.reps[to].url, err)
 		return
-	}
-	workers := 0 // recount for the ack: replaySlots already validated
-	if status, body, err := f.fetch(src.url, "/slots/export?slot="+strconv.Itoa(slot)); err == nil && status == http.StatusOK {
-		var exp SlotExport
-		if json.Unmarshal(body, &exp) == nil {
-			workers = len(exp.Workers)
-		}
 	}
 	if err := f.slots.Move(slot, from, to); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
@@ -1038,10 +1035,13 @@ func (f *Fanin) handleSlotMove(w http.ResponseWriter, r *http.Request) {
 
 // --- healthz ---
 
-// FaninReplicaHealth is one replica's health as seen by the router.
+// FaninReplicaHealth is one replica's health as seen by the router:
+// "down" when unreachable, else the replica's own /healthz status, with
+// its durability error when it reports "degraded".
 type FaninReplicaHealth struct {
 	URL                 string `json:"url"`
-	Status              string `json:"status"` // "ok" | "down"
+	Status              string `json:"status"` // "ok" | "degraded" | "down"
+	Error               string `json:"error,omitempty"`
 	Dirty               bool   `json:"dirty,omitempty"`
 	ConsecutiveFailures int    `json:"consecutive_failures,omitempty"`
 }
@@ -1064,7 +1064,7 @@ type FaninSlotCoverage struct {
 // FaninHealth is the fan-in /healthz document: the aggregate Health shape
 // (so clients of a single server parse it unchanged) plus per-replica
 // detail and per-slot coverage. Status is "degraded" while any replica is
-// down or dirty.
+// down, dirty or reports itself degraded.
 type FaninHealth struct {
 	Status   string               `json:"status"`
 	Workers  int                  `json:"workers"`
@@ -1093,7 +1093,12 @@ func (f *Fanin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			rh.Status = "ok"
-			json.Unmarshal(body, &counts[i]) // best-effort: counts stay zero on a bad body
+			// Best-effort: counts stay zero on a bad body. A replica that
+			// answers but reports itself degraded (a latched durability
+			// error) passes its status and error through.
+			if json.Unmarshal(body, &counts[i]) == nil && counts[i].Status != "" {
+				rh.Status, rh.Error = counts[i].Status, counts[i].Error
+			}
 		}(i, rep)
 	}
 	wg.Wait()
@@ -1101,7 +1106,7 @@ func (f *Fanin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if rh.Status != "ok" || rh.Dirty {
 			out.Status = "degraded"
 		}
-		if rh.Status != "ok" {
+		if rh.Status == "down" {
 			continue
 		}
 		if counts[i].Workers > out.Workers {

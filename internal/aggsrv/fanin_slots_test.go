@@ -32,7 +32,7 @@ func TestRetryBackoff(t *testing.T) {
 		{25 * time.Millisecond, 1, 50 * time.Millisecond},
 		{25 * time.Millisecond, 3, 200 * time.Millisecond},
 		{25 * time.Millisecond, 7, maxRetryBackoff},
-		{25 * time.Millisecond, 62, maxRetryBackoff},  // 25ms<<62 is negative
+		{25 * time.Millisecond, 62, maxRetryBackoff},      // 25ms<<62 is negative
 		{25 * time.Millisecond, 1 << 20, maxRetryBackoff}, // absurd Retries
 		{time.Second, 1, maxRetryBackoff},
 		{3 * time.Second, 0, maxRetryBackoff},
@@ -309,6 +309,17 @@ func TestFaninSlotMove(t *testing.T) {
 		if mv.Slot != s || mv.To != 2 || mv.From != s%2 {
 			t.Fatalf("move ack %+v", mv)
 		}
+		// The one worker holds state in the slot iff one of its keys
+		// hashes there; the ack counts the worker blobs replayed.
+		holders := 0
+		for _, k := range h.keys {
+			if qlove.SlotOf(k) == s {
+				holders = 1
+			}
+		}
+		if mv.Workers != holders {
+			t.Fatalf("move slot %d replayed %d workers, %d hold state there", s, mv.Workers, holders)
+		}
 		moved[s] = true
 		if len(moved) == 20 {
 			requireQuerySweep(t, "mid-migration", fx, h.keys)
@@ -374,6 +385,8 @@ func TestFaninSlotMove(t *testing.T) {
 	}{
 		{"GET method", fmt.Sprintf("/slots/move?slot=%d&to=1", someMoved), 0}, // via get below
 		{"bad slot", "/slots/move?slot=999&to=2", http.StatusBadRequest},
+		{"negative slot", "/slots/move?slot=-1&to=2", http.StatusBadRequest},
+		{"source out of range", fmt.Sprintf("/slots/move?slot=%d&from=5&to=0", someMoved), http.StatusBadRequest},
 		{"bad destination", "/slots/move?slot=3&to=9", http.StatusBadRequest},
 		{"destination already owns", fmt.Sprintf("/slots/move?slot=%d&to=2", someMoved), http.StatusBadRequest},
 		{"source does not own", fmt.Sprintf("/slots/move?slot=%d&from=1&to=0", someMoved), http.StatusBadRequest},

@@ -76,10 +76,24 @@ func (fx *faninFixture) push(t *testing.T, worker string, blob []byte) {
 // TestFaninEndToEnd: multi-worker, multi-key (including a salted
 // sub-stream group) pushes through the router answer /query, /snapshot
 // and /healthz byte-identically to one single-process server folding the
-// same pushes.
+// same pushes — with one copy per slot, and with two copies over three
+// replicas, where each key must live on exactly its slot's two owners.
+//
+// At replication 2 the /push and /healthz key totals are the largest
+// replica's count, a floor on the true total. Here it is exact: every key
+// below hashes to a slot whose residue mod 3 is 0 or 1, and replica 1 owns
+// both residues (slot s is owned by s%3 and (s+1)%3).
 func TestFaninEndToEnd(t *testing.T) {
+	for _, replication := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replication-%d", replication), func(t *testing.T) {
+			testFaninEndToEnd(t, replication)
+		})
+	}
+}
+
+func testFaninEndToEnd(t *testing.T, replication int) {
 	cfg := qlove.Config{Spec: qlove.Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}, FewK: true}
-	fx := newFaninFixture(t, 3, FaninConfig{})
+	fx := newFaninFixture(t, 3, FaninConfig{Replication: replication})
 
 	keys := []string{"api/latency", "db/qps", "cache/hits", "gc/pause", "net/rtt"}
 	cursors := make([]qlove.ExportCursor, 2)
@@ -110,15 +124,24 @@ func TestFaninEndToEnd(t *testing.T) {
 		eng.Close()
 	}
 
-	// Replica key ownership is disjoint and matches PartitionOf.
+	// Each key lives on exactly its slot's owners (one replica at
+	// replication 1, so the key sets are disjoint). Every replica, owner of
+	// no key or not, registered both workers: non-owners get empty pushes.
+	table := fx.router.SlotTable()
 	for _, k := range keys {
-		owner := qlove.PartitionOf(k, len(fx.replicas))
+		owners := table.OwnersOf(k)
 		for i, rs := range fx.replicas {
 			resp, _ := get(t, rs, "/query?key="+k)
-			wantOK := i == owner
+			wantOK := table.IsOwner(qlove.SlotOf(k), i)
 			if (resp.StatusCode == http.StatusOK) != wantOK {
-				t.Fatalf("key %q on replica %d (owner %d): %s", k, i, owner, resp.Status)
+				t.Fatalf("key %q on replica %d (owners %v): %s", k, i, owners, resp.Status)
 			}
+		}
+	}
+	for i, rs := range fx.replicas {
+		var h Health
+		if _, body := get(t, rs, "/healthz"); json.Unmarshal(body, &h) != nil || h.Workers != 2 {
+			t.Fatalf("replica %d health %s, want 2 workers", i, body)
 		}
 	}
 
@@ -177,18 +200,18 @@ func TestFaninEndToEnd(t *testing.T) {
 // construction (including duplicate replicas) and malformed blobs rejected
 // before any replica sees a frame.
 func TestFaninErrors(t *testing.T) {
-	if _, err := NewFanin(nil, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{}); err == nil {
 		t.Fatal("empty URL list accepted")
 	}
-	if _, err := NewFanin([]string{"not a url"}, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{Replicas: []string{"not a url"}}); err == nil {
 		t.Fatal("bad URL accepted")
 	}
-	if _, err := NewFanin([]string{"/just/a/path"}, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{Replicas: []string{"/just/a/path"}}); err == nil {
 		t.Fatal("schemeless URL accepted")
 	}
 	// Duplicates — even differing only by a trailing slash — would
 	// silently split one partition across two identical owners.
-	if _, err := NewFanin([]string{"http://10.0.0.1:7171", "http://10.0.0.1:7171/"}, nil); err == nil {
+	if _, err := NewFaninConfig(FaninConfig{Replicas: []string{"http://10.0.0.1:7171", "http://10.0.0.1:7171/"}}); err == nil {
 		t.Fatal("duplicate replica URLs accepted")
 	}
 	// Replication / quorum / slot-map validation.
@@ -268,7 +291,7 @@ func TestFaninDegradedReplica(t *testing.T) {
 	keyFor := func(owner int) string {
 		for i := 0; ; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			if qlove.PartitionOf(k, 2) == owner {
+			if qlove.SlotOf(k)%2 == owner {
 				return k
 			}
 		}
@@ -395,6 +418,42 @@ func TestFaninDegradedReplica(t *testing.T) {
 	}
 }
 
+// TestFaninReplicaDurabilityHealth: a replica that answers /healthz but
+// reports itself degraded (its store latched a durability error) turns the
+// fan-in's /healthz degraded too, with the replica's error carried
+// through, so an operator watching only the router still sees it. The
+// replica stays in service: it is not counted as a failure.
+func TestFaninReplicaDurabilityHealth(t *testing.T) {
+	healthy := httptest.NewServer(New(nil).Handler())
+	defer healthy.Close()
+	stub := &durabilityStub{Backend: qlove.NewAggregator(), err: fmt.Errorf("wal append: no space left on device")}
+	failing := httptest.NewServer(New(stub).Handler())
+	defer failing.Close()
+	f, err := NewFaninConfig(FaninConfig{Replicas: []string{healthy.URL, failing.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+
+	resp, body := get(t, srv, "/healthz")
+	var fh FaninHealth
+	if err := json.Unmarshal(body, &fh); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || fh.Status != "degraded" || len(fh.Replicas) != 2 {
+		t.Fatalf("fan-in over a degraded replica: %s %s", resp.Status, body)
+	}
+	if r := fh.Replicas[0]; r.Status != "ok" || r.Error != "" {
+		t.Fatalf("healthy replica reported %+v", r)
+	}
+	if r := fh.Replicas[1]; r.Status != "degraded" || r.Error != "wal append: no space left on device" ||
+		r.ConsecutiveFailures != 0 {
+		t.Fatalf("degraded replica reported %+v", r)
+	}
+}
+
 // TestFaninTimeout pins the no-DefaultClient satellite: a wedged replica
 // costs the configured deadline, not forever.
 func TestFaninTimeout(t *testing.T) {
@@ -473,10 +532,10 @@ func TestFaninHedgedQuery(t *testing.T) {
 	}))
 	defer fast.Close()
 	// At replication 2 over 2 replicas, every slot is owned by both; the
-	// default map's primary for "k" is PartitionOf("k", 2) — put the slow
+	// default map's primary for "k" is SlotOf("k") % 2 — put the slow
 	// server there so the hedge must rescue the read.
 	urls := []string{slow.URL, fast.URL}
-	if qlove.PartitionOf("k", 2) == 1 {
+	if qlove.SlotOf("k")%2 == 1 {
 		urls = []string{fast.URL, slow.URL}
 	}
 	f, err := NewFaninConfig(FaninConfig{
@@ -502,8 +561,9 @@ func TestFaninHedgedQuery(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsEndpoint pins the server-side /metrics document for a
-// plain, an instrumented, and a partitioned backend.
+// TestServiceMetricsEndpoint pins the server-side /metrics document for an
+// instrumented backend. (The fan-in's per-replica document is pinned in
+// TestFaninEndToEnd.)
 func TestServiceMetricsEndpoint(t *testing.T) {
 	agg, err := qlove.NewAggregatorConfig(qlove.AggregatorConfig{Instrument: true})
 	if err != nil {
@@ -527,22 +587,5 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 	}
 	if m.Replicas[0].FoldCache == nil {
 		t.Fatal("fold cache stats missing")
-	}
-
-	p, err := qlove.NewPartitioned(3, qlove.AggregatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	psrv := httptest.NewServer(New(p).Handler())
-	defer psrv.Close()
-	resp, body = get(t, psrv, "/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("partitioned metrics: %s", resp.Status)
-	}
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Replicas) != 3 {
-		t.Fatalf("partitioned metrics for %d replicas, want 3", len(m.Replicas))
 	}
 }
