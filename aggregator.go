@@ -141,14 +141,18 @@ func NewAggregatorConfig(cfg AggregatorConfig) (*Aggregator, error) {
 // syncs the log tail and stops the background flusher; in-memory backends
 // close to a no-op. The aggregator must not be used after Close.
 func (a *Aggregator) Close() error {
-	store := a.store
-	if in, ok := store.(*aggstore.Instrumented); ok {
-		store = in.Inner()
-	}
-	if c, ok := store.(io.Closer); ok {
+	if c, ok := a.backend().(io.Closer); ok {
 		return c.Close()
 	}
 	return nil
+}
+
+// backend returns the store beneath the instrumentation wrapper, if any.
+func (a *Aggregator) backend() aggstore.Store {
+	if in, ok := a.store.(*aggstore.Instrumented); ok {
+		return in.Inner()
+	}
+	return a.store
 }
 
 // DurabilityErr reports the store's sticky durability error: non-nil once
@@ -156,11 +160,7 @@ func (a *Aggregator) Close() error {
 // stays ahead of the log from that point on). Always nil for in-memory
 // backends. Services surface it in /healthz.
 func (a *Aggregator) DurabilityErr() error {
-	store := a.store
-	if in, ok := store.(*aggstore.Instrumented); ok {
-		store = in.Inner()
-	}
-	if d, ok := store.(interface{ Err() error }); ok {
+	if d, ok := a.backend().(interface{ Err() error }); ok {
 		return d.Err()
 	}
 	return nil
@@ -611,6 +611,19 @@ type StoreMetrics struct {
 	LockWaitReadNanos  int64           `json:"lock_wait_read_nanos"`
 	LockWaitWriteNanos int64           `json:"lock_wait_write_nanos"`
 	Ops                []StoreOpMetric `json:"ops,omitempty"`
+	// Compaction is present for the disk backend only.
+	Compaction *CompactionMetrics `json:"compaction,omitempty"`
+}
+
+// CompactionMetrics counts the disk backend's completed snapshot
+// compactions: how many, their summed and longest duration (WAL rotation
+// to retirement of the superseded files; pushes wait only for the
+// rotation), and the size of the newest snapshot.
+type CompactionMetrics struct {
+	Count             int64 `json:"count"`
+	TotalNanos        int64 `json:"total_nanos"`
+	MaxNanos          int64 `json:"max_nanos"`
+	LastSnapshotBytes int64 `json:"last_snapshot_bytes"`
 }
 
 // FoldCacheStats counts the read-path fold cache's outcomes.
@@ -646,6 +659,12 @@ func (a *Aggregator) Metrics() AggregatorMetrics {
 	}
 	if lw, ok := a.store.(aggstore.LockWaiter); ok {
 		m.Store.LockWaitReadNanos, m.Store.LockWaitWriteNanos = lw.LockWaitNanos()
+	}
+	if cr, ok := a.backend().(aggstore.CompactionReporter); ok {
+		cs := cr.CompactionStats()
+		m.Store.Compaction = &CompactionMetrics{
+			Count: cs.Count, TotalNanos: cs.TotalNanos, MaxNanos: cs.MaxNanos, LastSnapshotBytes: cs.LastSnapshotBytes,
+		}
 	}
 	if a.cache != nil {
 		m.FoldCache = &FoldCacheStats{Hits: a.cache.hits.Load(), Misses: a.cache.misses.Load()}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -525,6 +527,42 @@ func TestAggregatorMetricsInstrumented(t *testing.T) {
 	}
 	if m := mkAgg(t, AggregatorConfig{}).Metrics(); m.Store.Backend != "striped" {
 		t.Fatalf("default backend label %q", m.Store.Backend)
+	}
+}
+
+// TestAggregatorMetricsCompaction pins the disk backend's compaction
+// counters in Metrics, through the instrumentation wrapper: a compaction
+// per push (CompactBytes 1, each one waited for by Close) is counted, timed
+// and sized to the snapshot left on disk. In-memory backends report none.
+func TestAggregatorMetricsCompaction(t *testing.T) {
+	dir := t.TempDir()
+	agg := mkAgg(t, AggregatorConfig{Store: "disk", Dir: dir, CompactBytes: 1, Instrument: true})
+	cfg := Config{Spec: Window{Size: 256, Period: 64}, Phis: []float64{0.5, 0.99}}
+	for i := 0; i < 4; i++ {
+		blob := wire.AppendFrame(nil, fmt.Sprintf("k%d", i), mkKeySnapshot(t, cfg, int64(i), 300))
+		if _, err := agg.Apply("w", bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := agg.Metrics().Store.Compaction
+	if c == nil {
+		t.Fatal("disk backend reported no compaction metrics")
+	}
+	if c.Count < 1 || c.MaxNanos <= 0 || c.TotalNanos < c.MaxNanos {
+		t.Fatalf("compaction counters %+v", *c)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.bin"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots on disk: %v", snaps)
+	}
+	if fi, err := os.Stat(snaps[0]); err != nil || fi.Size() != c.LastSnapshotBytes {
+		t.Fatalf("last snapshot %d bytes, file %v (%v)", c.LastSnapshotBytes, fi.Size(), err)
+	}
+	if m := mkAgg(t, AggregatorConfig{Instrument: true}).Metrics(); m.Store.Compaction != nil {
+		t.Fatal("in-memory backend reported compaction metrics")
 	}
 }
 

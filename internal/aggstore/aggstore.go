@@ -133,6 +133,22 @@ type LockWaiter interface {
 	LockWaitNanos() (read, write int64)
 }
 
+// CompactionReporter is implemented by backends that compact a log into
+// snapshots (the disk store).
+type CompactionReporter interface {
+	CompactionStats() CompactionStats
+}
+
+// CompactionStats counts completed snapshot compactions. A compaction's
+// duration runs from the WAL rotation to the retirement of the files its
+// snapshot supersedes; pushes wait only for the rotation.
+type CompactionStats struct {
+	Count             int64
+	TotalNanos        int64
+	MaxNanos          int64
+	LastSnapshotBytes int64
+}
+
 // OpMetrics is one operation's cumulative count and latency.
 type OpMetrics struct {
 	Op    string `json:"op"`

@@ -10,10 +10,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -33,10 +35,20 @@ import (
 //	wal-<seq>.log    append-only mutation log: length-prefixed,
 //	                 CRC32-sealed records; a torn tail (crash mid-append)
 //	                 is detected and truncated on recovery
-//	snap-<seq>.bin   full-state snapshot taken when the previous WAL
-//	                 outgrew CompactBytes; written to a temp file, synced,
-//	                 renamed — a crash mid-compaction leaves the previous
-//	                 snapshot+WAL pair intact
+//	snap-<seq>.bin   full-state snapshot of everything logged before
+//	                 wal-<seq>; written to a temp file, synced, renamed —
+//	                 a crash mid-compaction leaves the previous snapshot
+//	                 and every WAL segment since it intact
+//
+// Compaction is split so pushes never wait on the snapshot image. Under
+// the mutation lock it only rotates: the active segment wal-<n> is flushed
+// and synced, wal-<n+1> takes over, and the resident state is captured by
+// pointer (a stored State is immutable). A background writer then streams
+// snap-<n+1> to disk and only afterwards retires snap-<n> and wal-<n>, so
+// every segment but the newest is complete and only the newest can end in
+// a torn record. Recovery replays every segment at or after the newest
+// valid snapshot; a crash mid-compaction recovers from snap-<n> + wal-<n>
+// + wal-<n+1>.
 //
 // State records carry the same wire full-frame encoding worker exports
 // use, so anything resident (which the read path already requires to be a
@@ -46,11 +58,11 @@ import (
 // record before the mutation returns (a state acknowledged to a worker
 // survives kill -9), FsyncInterval batches syncs on a timer, FsyncNone
 // syncs only at compaction and Close. Mutations are serialized by one
-// mutex (the WAL is inherently serial); reads go straight to the resident
-// in-memory map and run in parallel as usual. A write error does not take
-// the store down — it keeps serving from memory — but is sticky and
-// surfaced by Err and Close so the operator layer can report lost
-// durability.
+// mutex (the WAL is inherently serial), snapshot writers by another;
+// reads go straight to the resident in-memory map and run in parallel as
+// usual. A write error does not take the store down — it keeps serving
+// from memory — but is sticky and surfaced by Err and Close so the
+// operator layer can report lost durability.
 type Disk struct {
 	mem          *Map
 	dir          string
@@ -59,7 +71,7 @@ type Disk struct {
 
 	mu       sync.Mutex
 	seq      uint64 // active WAL sequence
-	snapSeq  uint64 // snapshot the active WAL extends (0 = none)
+	snapSeq  uint64 // newest durable snapshot (0 = none)
 	wal      *os.File
 	bw       *bufio.Writer // nil in FsyncAlways mode
 	walBytes int64
@@ -68,6 +80,16 @@ type Disk struct {
 	closed   bool
 	stop     chan struct{} // interval flusher lifecycle (nil otherwise)
 	done     chan struct{}
+
+	// snapMu is held by the one snapshot writer in flight, from rotation
+	// until its superseded files are retired. Lock order is snapMu before
+	// mu; mutators holding mu only TryLock it.
+	snapMu sync.Mutex
+	// Compaction counters (see CompactionStats).
+	compactions, compactNanos, compactMaxNanos, snapBytes atomic.Int64
+	// compactHook, when set, is called by the snapshot writer after each
+	// named step ("rotated", "tmp-synced"); tests park the writer in it.
+	compactHook func(step string)
 }
 
 // Fsync modes for DiskConfig.Fsync.
@@ -167,14 +189,17 @@ func (d *Disk) Err() error {
 	return d.werr
 }
 
-// Close flushes and closes the WAL. The store must not be used after
-// Close; reopening the directory recovers everything durable.
+// Close waits for an in-flight compaction, then flushes and closes the
+// WAL. The store must not be used after Close; reopening the directory
+// recovers everything durable.
 func (d *Disk) Close() error {
 	if d.stop != nil {
 		close(d.stop)
 		<-d.done
 		d.stop = nil
 	}
+	d.snapMu.Lock()
+	defer d.snapMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -191,21 +216,41 @@ func (d *Disk) Close() error {
 }
 
 // Compact forces a snapshot compaction (tests and operational tooling;
-// the store compacts itself when the WAL outgrows CompactBytes).
+// the store compacts itself in the background when the WAL outgrows
+// CompactBytes). It is synchronous: it waits for any in-flight compaction,
+// then compacts and returns once the new snapshot is durable.
 func (d *Disk) Compact() error {
+	d.snapMu.Lock()
+	defer d.snapMu.Unlock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return errors.New("aggstore: disk store is closed")
 	}
 	if d.werr != nil {
-		return d.werr
-	}
-	if err := d.compactLocked(); err != nil {
-		d.werr = err
+		err := d.werr
+		d.mu.Unlock()
 		return err
 	}
-	return nil
+	c, err := d.rotateLocked()
+	if err != nil {
+		d.werr = err
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return d.writeCompaction(c)
+}
+
+// CompactionStats reports the completed compactions' counters.
+func (d *Disk) CompactionStats() CompactionStats {
+	return CompactionStats{
+		Count:             d.compactions.Load(),
+		TotalNanos:        d.compactNanos.Load(),
+		MaxNanos:          d.compactMaxNanos.Load(),
+		LastSnapshotBytes: d.snapBytes.Load(),
+	}
 }
 
 // --- reads: straight to the resident map ---
@@ -365,88 +410,166 @@ func (d *Disk) appendRecord(body []byte) {
 	}
 }
 
+// maybeCompact starts a background compaction once the active WAL has
+// outgrown CompactBytes, unless one is already in flight. Caller holds
+// d.mu.
 func (d *Disk) maybeCompact() {
-	if d.compactBytes > 0 && d.walBytes >= d.compactBytes && d.werr == nil && !d.closed {
-		if err := d.compactLocked(); err != nil {
-			d.werr = err
-		}
+	if d.compactBytes <= 0 || d.walBytes < d.compactBytes || d.werr != nil || d.closed {
+		return
 	}
+	if !d.snapMu.TryLock() {
+		return
+	}
+	c, err := d.rotateLocked()
+	if err != nil {
+		d.werr = err
+		d.snapMu.Unlock()
+		return
+	}
+	go func() {
+		defer d.snapMu.Unlock()
+		d.writeCompaction(c) // a failure latches into werr
+	}()
 }
 
-// compactLocked folds the WAL into a fresh snapshot: write snap-(seq+1)
-// (temp file, sync, rename, dir sync), start wal-(seq+1), then retire
-// everything older. A crash at any point leaves either the old
-// snapshot+WAL pair or the new snapshot recoverable. Caller holds d.mu.
-func (d *Disk) compactLocked() error {
-	newSeq := d.seq + 1
-	if err := d.writeSnapshot(newSeq); err != nil {
-		return err
+// compaction is one snapshot in the making: its sequence, when it started
+// and the resident state captured at rotation.
+type compaction struct {
+	seq     uint64
+	start   time.Time
+	workers []diskWorkerDump
+}
+
+// rotateLocked is the lock-held half of compaction. It makes the active
+// segment durable, starts wal-(seq+1) for every later mutation, and
+// captures the resident state those mutations apply on top of. Caller
+// holds d.mu and d.snapMu.
+func (d *Disk) rotateLocked() (*compaction, error) {
+	start := time.Now()
+	// Only the newest segment may end torn: wal-seq must be whole before
+	// wal-(seq+1) exists, since recovery replays both until the new
+	// snapshot lands.
+	if err := d.flushSync(); err != nil {
+		return nil, err
 	}
+	newSeq := d.seq + 1
 	f, err := os.OpenFile(d.walPath(newSeq), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := d.syncDir(); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	// The old WAL is fully superseded by the snapshot; unflushed buffered
-	// records need not survive (they are IN the snapshot).
-	d.wal.Close()
-	d.wal, d.walBytes, d.seq, d.snapSeq = f, 0, newSeq, newSeq
+	d.wal.Close() // synced above: a close error loses nothing
+	d.wal, d.walBytes, d.seq = f, 0, newSeq
 	if d.bw != nil {
-		d.bw = bufio.NewWriterSize(f, 1<<16)
+		d.bw.Reset(f)
 	}
-	d.removeObsolete(newSeq)
-	return nil
+	return &compaction{seq: newSeq, start: start, workers: d.mem.dump()}, nil
 }
 
-// writeSnapshot persists the full resident state as snap-<seq>: magic,
-// per-worker (sorted) id + last-push stamp + its states as wire full
-// frames (sorted by internal name), CRC32 footer + end magic.
-func (d *Disk) writeSnapshot(seq uint64) error {
-	body := append(make([]byte, 0, 1<<16), snapMagic...)
-	workers := d.mem.dump()
-	body = appendUvarint(body, uint64(len(workers)))
-	for _, w := range workers {
-		body = appendLenPrefixed(body, w.id)
-		var ts [8]byte
-		binary.LittleEndian.PutUint64(ts[:], uint64(w.nanos))
-		body = append(body, ts[:]...)
-		body = appendUvarint(body, uint64(len(w.states)))
-		for _, ns := range w.states {
-			sn, err := core.NewSnapshot(ns.State.Parts)
-			if err != nil {
-				return fmt.Errorf("snapshot state %q/%q: %w", w.id, ns.Name, err)
-			}
-			body = wire.AppendFrame(body, ns.Name, sn)
-		}
+// writeCompaction is the half that runs without d.mu: it writes
+// snap-<seq> from the capture, then advances snapSeq and retires the
+// files the snapshot supersedes. A failure latches like any write error.
+// Caller holds d.snapMu.
+func (d *Disk) writeCompaction(c *compaction) error {
+	d.hook("rotated")
+	n, err := d.writeSnapshot(c.seq, c.workers)
+	d.mu.Lock()
+	if err == nil {
+		d.snapSeq = c.seq
+	} else if d.werr == nil {
+		d.werr = err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	body = append(body, crc[:]...)
-	body = append(body, snapEnd...)
-
-	tmp := d.snapPath(seq) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	d.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		return err
+	d.removeObsolete(c.seq)
+	took := int64(time.Since(c.start))
+	d.compactions.Add(1)
+	d.compactNanos.Add(took)
+	d.compactMaxNanos.Store(max(d.compactMaxNanos.Load(), took))
+	d.snapBytes.Store(n)
+	return nil
+}
+
+// hook runs the test hook, if any, for one snapshot-writer step.
+func (d *Disk) hook(step string) {
+	if d.compactHook != nil {
+		d.compactHook(step)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+}
+
+// writeSnapshot persists a capture as snap-<seq> (temp file, sync,
+// rename, directory sync) and returns its size.
+func (d *Disk) writeSnapshot(seq uint64, workers []diskWorkerDump) (int64, error) {
+	tmp := d.snapPath(seq) + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
 	}
-	if err := f.Close(); err != nil {
-		return err
+	n, err := encodeSnapshot(f, workers)
+	if err == nil {
+		err = f.Sync()
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	d.hook("tmp-synced")
 	if err := os.Rename(tmp, d.snapPath(seq)); err != nil {
+		return 0, err
+	}
+	return n, d.syncDir()
+}
+
+// encodeSnapshot streams a capture's image to w: magic, per-worker
+// (sorted) id + last-push stamp + its states as wire full frames (sorted
+// by internal name), CRC32 footer + end magic. Frames go out one at a
+// time through a buffered writer and the CRC is computed on the way, so
+// the image is never held in memory whole. Returns the bytes written.
+func encodeSnapshot(w io.Writer, workers []diskWorkerDump) (int64, error) {
+	sortDump(workers)
+	bw := bufio.NewWriterSize(w, 1<<16)
+	crc := crc32.NewIEEE()
+	out := io.MultiWriter(bw, crc)
+	var n int64
+	emit := func(b []byte) error {
+		n += int64(len(b))
+		_, err := out.Write(b)
 		return err
 	}
-	return d.syncDir()
+	buf := appendUvarint(append([]byte(nil), snapMagic...), uint64(len(workers)))
+	for _, dw := range workers {
+		buf = appendLenPrefixed(buf, dw.id)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(dw.nanos))
+		buf = appendUvarint(buf, uint64(len(dw.states)))
+		for _, ns := range dw.states {
+			sn, err := core.NewSnapshot(ns.State.Parts)
+			if err != nil {
+				return n, fmt.Errorf("snapshot state %q/%q: %w", dw.id, ns.Name, err)
+			}
+			buf = wire.AppendFrame(buf, ns.Name, sn)
+			if err := emit(buf); err != nil {
+				return n, err
+			}
+			buf = buf[:0]
+		}
+	}
+	if err := emit(buf); err != nil { // headers of trailing stateless workers
+		return n, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf[:0], crc.Sum32())
+	buf = append(buf, snapEnd...)
+	n += int64(len(buf))
+	if _, err := bw.Write(buf); err != nil {
+		return n, err
+	}
+	return n, bw.Flush()
 }
 
 // --- recovery ---
@@ -493,12 +616,18 @@ func (d *Disk) recover() error {
 		if seq < d.snapSeq {
 			continue
 		}
-		off, err := d.replayWAL(seq)
+		off, size, err := d.replayWAL(seq)
 		if err != nil {
 			return err
 		}
 		if seq == active {
 			activeOff = off
+		} else if off < size {
+			// Only the newest segment may be torn (compaction syncs a
+			// segment before starting the next); folding later records over
+			// the hole would resurrect a state that never existed.
+			return fmt.Errorf("%s: torn or corrupt record at offset %d of %d with later segments present; refusing to replay over the gap",
+				filepath.Base(d.walPath(seq)), off, size)
 		}
 	}
 	f, err := os.OpenFile(d.walPath(active), os.O_RDWR|os.O_CREATE, 0o644)
@@ -526,13 +655,13 @@ func (d *Disk) recover() error {
 }
 
 // replayWAL applies one segment's valid record prefix to the resident
-// map, returning the offset where the valid prefix ends (a torn or
-// corrupt tail stops the replay without error — it is exactly the
-// in-flight mutation a crash cut off).
-func (d *Disk) replayWAL(seq uint64) (int64, error) {
+// map, returning the offset where the valid prefix ends and the segment's
+// size (a torn or corrupt tail stops the replay without error — in the
+// newest segment it is exactly the in-flight mutation a crash cut off).
+func (d *Disk) replayWAL(seq uint64) (int64, int64, error) {
 	data, err := os.ReadFile(d.walPath(seq))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	off := 0
 	for {
@@ -552,7 +681,7 @@ func (d *Disk) replayWAL(seq uint64) (int64, error) {
 		}
 		off += 8 + int(n)
 	}
-	return int64(off), nil
+	return int64(off), int64(len(data)), nil
 }
 
 // applyRecord replays one WAL record onto mem.
@@ -780,25 +909,37 @@ type diskWorkerDump struct {
 	states []NamedState
 }
 
-// dump captures the whole resident state in deterministic order: workers
-// sorted by id, each worker's states sorted by internal name (base before
-// its salted sub-streams, NUL sorting below every user byte).
+// dump captures the whole resident state: per worker its id, last-push
+// stamp and every state. It copies pointers only, sized exactly, and
+// leaves the ordering to sortDump so the lock covers nothing but the walk.
 func (m *Map) dump() []diskWorkerDump {
 	m.rlock()
 	defer m.runlock()
 	out := make([]diskWorkerDump, 0, len(m.workers))
 	for id, w := range m.workers {
-		dw := diskWorkerDump{id: id, nanos: w.lastPush.UnixNano()}
-		bases := make([]string, 0, len(w.groups))
-		for b := range w.groups {
-			bases = append(bases, b)
+		n := 0
+		for _, g := range w.groups {
+			n += len(g.subs)
+			if g.base != nil {
+				n++
+			}
 		}
-		sort.Strings(bases)
-		for _, b := range bases {
-			dw.states = w.groups[b].fold(b, dw.states)
+		dw := diskWorkerDump{id: id, nanos: w.lastPush.UnixNano(), states: make([]NamedState, 0, n)}
+		for b, g := range w.groups {
+			dw.states = g.fold(b, dw.states)
 		}
 		out = append(out, dw)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
+}
+
+// sortDump puts a capture in deterministic order: workers by id, each
+// worker's states by internal name. Name order is fold order within a
+// group (base, then sub-streams by salt index) and groups by base, because
+// the salt separator NUL sorts below every user byte.
+func sortDump(workers []diskWorkerDump) {
+	slices.SortFunc(workers, func(a, b diskWorkerDump) int { return strings.Compare(a.id, b.id) })
+	for _, dw := range workers {
+		slices.SortFunc(dw.states, func(a, b NamedState) int { return strings.Compare(a.Name, b.Name) })
+	}
 }

@@ -1,13 +1,19 @@
 package aggstore
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/window"
 )
 
 // requireSameState asserts the disk store's whole observable surface
@@ -54,7 +60,7 @@ func requireSameState(t *testing.T, got, want Store, when string) {
 
 // driveOps applies a deterministic randomized op sequence to every given
 // store (the same ops to each).
-func driveOps(t *testing.T, rng *rand.Rand, steps int, tag *uint64, ss ...Store) {
+func driveOps(t testing.TB, rng *rand.Rand, steps int, tag *uint64, ss ...Store) {
 	t.Helper()
 	workers := []string{"wa", "wb", "wc"}
 	bases := []string{"k0", "k1", "k2"}
@@ -195,7 +201,7 @@ func TestDiskTornTail(t *testing.T) {
 }
 
 // TestDiskCompaction forces compaction after nearly every mutation
-// (CompactBytes=1) and requires the snapshot+fresh-WAL cycle to preserve
+// (CompactBytes=1) and requires the rotate-then-snapshot cycle to preserve
 // state across a reopen, retire superseded files, and tolerate an
 // abandoned temp snapshot (the crash-mid-compaction shape).
 func TestDiskCompaction(t *testing.T) {
@@ -212,16 +218,13 @@ func TestDiskCompaction(t *testing.T) {
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	// Compactions run in the background; Compact waits for the one in
+	// flight and compacts once more, so the directory is quiescent.
+	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	var files []string
-	for _, e := range entries {
-		files = append(files, e.Name())
-	}
-	if len(files) > 3 {
+
+	if files := dirFiles(t, dir); len(files) > 3 {
 		t.Fatalf("compaction left %d files behind: %v", len(files), files)
 	}
 
@@ -356,4 +359,375 @@ func TestDiskConfigValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "fsync") {
 		t.Fatalf("bad fsync mode: %v", err)
 	}
+}
+
+// parkCompaction makes d's first compaction stop at the given writer
+// step ("rotated" or "tmp-synced") and returns a channel closed once it is
+// parked plus the function that lets it go on.
+func parkCompaction(d *Disk, step string) (parked <-chan struct{}, release func()) {
+	p, r := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	d.compactHook = func(s string) {
+		if s == step {
+			once.Do(func() { close(p); <-r })
+		}
+	}
+	return p, sync.OnceFunc(func() { close(r) })
+}
+
+// driveUntilParked applies ops one at a time until the parked compaction
+// has stopped at its hook.
+func driveUntilParked(t testing.TB, parked <-chan struct{}, rng *rand.Rand, tag *uint64, ss ...Store) {
+	t.Helper()
+	for i := 0; i < 5000; i++ {
+		select {
+		case <-parked:
+			return
+		default:
+		}
+		driveOps(t, rng, 1, tag, ss...)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("compaction never reached its hook")
+	}
+}
+
+// copyDir copies every file in src to a fresh directory: what a kill -9
+// at this instant leaves on disk (FsyncAlways has synced every record the
+// copy reads).
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestDiskCrashMidCompaction parks the background snapshot writer after
+// the WAL rotation — before the snapshot exists, and again with it only
+// as a synced temp file — keeps mutating into the new segment, and
+// "crashes" by copying the directory. The copy must recover from the old
+// snapshot (none here) plus both segments, equal to the reference; the
+// original must finish its compaction and recover the same state too.
+func TestDiskCrashMidCompaction(t *testing.T) {
+	for _, step := range []string{"rotated", "tmp-synced"} {
+		t.Run(step, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := NewMap()
+			rng := rand.New(rand.NewSource(31))
+			var tag uint64
+			d, err := OpenDisk(DiskConfig{Dir: dir, CompactBytes: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked, release := parkCompaction(d, step)
+			defer release()
+			driveUntilParked(t, parked, rng, &tag, ref, d)
+			driveOps(t, rng, 150, &tag, ref, d)
+
+			crashed := copyDir(t, dir)
+			files := dirFiles(t, crashed)
+			for _, name := range files {
+				if strings.HasSuffix(name, ".bin") {
+					t.Fatalf("snapshot published before the writer was released: %v", files)
+				}
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(crashed, "*.tmp")); (step == "tmp-synced") != (len(tmps) == 1) {
+				t.Fatalf("step %s left temp files %v", step, tmps)
+			}
+			if wals, _ := filepath.Glob(filepath.Join(crashed, "wal-*.log")); len(wals) != 2 {
+				t.Fatalf("want the rotated-out and the active segment, have %v", files)
+			}
+			re, err := OpenDisk(DiskConfig{Dir: crashed, CompactBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, re, ref, "crash mid-compaction at "+step)
+			re.Close()
+
+			release()
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d, err = OpenDisk(DiskConfig{Dir: dir, CompactBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, d, ref, "after the released compaction")
+			d.Close()
+		})
+	}
+}
+
+// TestDiskCloseDuringCompaction: Close waits for an in-flight compaction,
+// which completes and retires what it supersedes.
+func TestDiskCloseDuringCompaction(t *testing.T) {
+	dir := t.TempDir()
+	ref := NewMap()
+	rng := rand.New(rand.NewSource(37))
+	var tag uint64
+	d, err := OpenDisk(DiskConfig{Dir: dir, CompactBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := parkCompaction(d, "rotated")
+	defer release()
+	driveUntilParked(t, parked, rng, &tag, ref, d)
+	driveOps(t, rng, 50, &tag, ref, d)
+
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a compaction in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	files := dirFiles(t, dir)
+	if len(files) > 3 {
+		t.Fatalf("compaction left %d files behind: %v", len(files), files)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.bin")); len(snaps) != 1 {
+		t.Fatalf("Close did not complete the compaction: %v", files)
+	}
+	d, err = OpenDisk(DiskConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, d, ref, "after close mid-compaction")
+	d.Close()
+}
+
+// TestDiskConcurrentCompaction mutates from several goroutines (one
+// worker each, so the final state is order-independent) while background
+// compactions run after nearly every mutation; the reopened directory must
+// equal the reference.
+func TestDiskConcurrentCompaction(t *testing.T) {
+	dir := t.TempDir()
+	ref := NewMap()
+	d, err := OpenDisk(DiskConfig{Dir: dir, Fsync: FsyncInterval, FsyncInterval: time.Millisecond, CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker := fmt.Sprintf("g%d", g)
+			for i := 0; i < 150; i++ {
+				name := fmt.Sprintf("k%d", i%7)
+				for _, s := range []Store{ref, d} {
+					s.Touch(worker, time.Unix(int64(i), 0))
+					if i%5 == 4 {
+						s.Drop(worker, name)
+					} else {
+						s.Put(worker, name, mkState(uint64(g*1000+i)))
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := d.CompactionStats(); c.Count == 0 || c.LastSnapshotBytes == 0 {
+		t.Fatalf("no compaction completed: %+v", c)
+	}
+	d, err = OpenDisk(DiskConfig{Dir: dir, CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, d, ref, "after concurrent compactions")
+	d.Close()
+}
+
+// TestDiskRefusesReplayOverGap: only the newest WAL segment may be torn.
+// A torn record in an older segment while a later one exists is a hole in
+// the history, and recovery must name the segment rather than fold the
+// later records over it.
+func TestDiskRefusesReplayOverGap(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(41))
+	var tag uint64
+	d, err := OpenDisk(DiskConfig{Dir: dir, CompactBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := parkCompaction(d, "rotated")
+	defer func() {
+		release()
+		d.Close()
+	}()
+	driveUntilParked(t, parked, rng, &tag, d)
+	driveOps(t, rng, 20, &tag, d)
+
+	crashed := copyDir(t, dir)
+	wals, _ := filepath.Glob(filepath.Join(crashed, "wal-*.log"))
+	if len(wals) != 2 {
+		t.Fatalf("want two segments, have %v", dirFiles(t, crashed))
+	}
+	fi, err := os.Stat(wals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(wals[0], fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDisk(DiskConfig{Dir: crashed})
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(wals[0])) {
+		t.Fatalf("recovery over a torn older segment: err = %v, want one naming %s", err, filepath.Base(wals[0]))
+	}
+}
+
+// realisticParts is an operator capture shaped like production folds:
+// a full 8-sub-window window of NetMon-like values, four quantiles, few-k.
+func realisticParts(t *testing.T) core.SnapshotParts {
+	t.Helper()
+	p, err := core.New(core.Config{Spec: window.Spec{Size: 8192, Period: 1024}, Phis: []float64{0.5, 0.9, 0.99, 0.999}, FewK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	vs := make([]float64, 1024)
+	for period := 0; period < 8; period++ {
+		for i := range vs {
+			vs[i] = float64(int(rng.ExpFloat64() * 1000))
+		}
+		p.ObserveBatch(vs)
+		p.EndPeriod()
+	}
+	return p.Snapshot().Parts()
+}
+
+// TestDiskCompactAllocs is the streaming gate: one Compact of a multi-MB
+// resident state allocates under a tenth of the snapshot it writes (the
+// capture is pointers, frames go out one at a time).
+func TestDiskCompactAllocs(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(DiskConfig{Dir: dir, Fsync: FsyncNone, CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	parts := realisticParts(t)
+	for w := 0; w < 4; w++ {
+		worker := fmt.Sprintf("w%d", w)
+		d.Touch(worker, time.Unix(int64(w), 0))
+		for k := 0; k < 1000; k++ {
+			st := &State{Parts: parts}
+			st.Parts.SealGen += uint64(k)
+			d.Put(worker, fmt.Sprintf("key-%04d", k), st)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	size := d.CompactionStats().LastSnapshotBytes
+	if size < 2<<20 {
+		t.Fatalf("snapshot is %d bytes; the gate needs a multi-MB state", size)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc*10 >= uint64(size) {
+		t.Fatalf("Compact allocated %d bytes for a %d-byte snapshot (limit: a tenth)", alloc, size)
+	}
+	t.Logf("Compact allocated %d bytes for a %d-byte snapshot", alloc, size)
+}
+
+// FuzzDiskRecover feeds arbitrary bytes as the WAL segment, alone or on
+// top of a valid snapshot: OpenDisk must never panic, and reopening what
+// the first open left behind must recover the same state.
+func FuzzDiskRecover(f *testing.F) {
+	seedDir := f.TempDir()
+	d, err := OpenDisk(DiskConfig{Dir: seedDir, Fsync: FsyncNone, CompactBytes: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var tag uint64
+	driveOps(f, rand.New(rand.NewSource(43)), 6, &tag, d)
+	if err := d.Compact(); err != nil {
+		f.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(seedDir, "snap-*.bin"))
+	if len(snaps) != 1 {
+		f.Fatalf("seed snapshots: %v", snaps)
+	}
+	snap, err := os.ReadFile(snaps[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	driveOps(f, rand.New(rand.NewSource(47)), 6, &tag, d)
+	d.Close()
+	wals, _ := filepath.Glob(filepath.Join(seedDir, "wal-*.log"))
+	if len(wals) != 1 {
+		f.Fatalf("seed segments: %v", wals)
+	}
+	wal, err := os.ReadFile(wals[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wal, false)
+	f.Add(wal, true)
+	f.Add(wal[:len(wal)/2], true)
+	f.Add(append(append([]byte(nil), wal...), 0xff, 0, 0, 0, 1), false)
+	f.Add([]byte{}, true)
+
+	f.Fuzz(func(t *testing.T, data []byte, withSnap bool) {
+		dir := t.TempDir()
+		if withSnap {
+			if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.bin"), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DiskConfig{Dir: dir, Fsync: FsyncNone, CompactBytes: -1}
+		first, err := OpenDisk(cfg)
+		if err != nil {
+			t.Fatalf("a single segment must always recover a valid prefix: %v", err)
+		}
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		second, err := OpenDisk(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer second.Close()
+		requireSameState(t, second, first, "second reopen")
+	})
 }
